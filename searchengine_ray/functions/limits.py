@@ -7,7 +7,7 @@ vocabulary BROADCAST plan to the bucketed TERM JOIN past
 ``df_broadcast_cap``, and they must flip at the same size or the
 engine's plan choice becomes operator-dependent for no reason.
 ``cc_driver_edge_cap`` plays the same role for ``dedup.dedup_clusters``
-(driver union-find vs distributed hash-to-min label propagation).
+(driver union-find vs distributed large-star/small-star contraction).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def cc_driver_edge_cap(explicit: int | None = None) -> int:
     """Edge-count cap for the driver-side union-find in
     ``dedup_clusters``: ``explicit`` if given, else
     ``$GRAFT_CC_DRIVER_EDGE_CAP``, else 5M (a few hundred MB of dict
-    state — past that the distributed label-propagation rounds win)."""
+    state — past that the distributed star-contraction steps win)."""
     if explicit is not None:
         return explicit
     return int(os.environ.get("GRAFT_CC_DRIVER_EDGE_CAP", str(_DEFAULT_CC_CAP)))

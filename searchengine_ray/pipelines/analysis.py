@@ -515,7 +515,7 @@ def _term_value_rows(ds, carrier, value_col: str, emit_zero_docs: bool = False):
     bucket sizing and the factorize-and-scatter attach live in ONE
     place.  The groupby keys on ``hash(term) % B`` (one vectorized call
     per bucket instead of one Python call per term — the
-    ``dedup._cc_round_bucket`` tiny-group-storm fix); a stop-word-grade
+    ``dedup._cc_star_bucket`` tiny-group-storm fix); a stop-word-grade
     head term still lands all its rows in one bucket (inherent to any
     per-term join), where the in-bucket work stays one factorize +
     scatter.  → Dataset (doc_id, term, tf, val) of token rows only;

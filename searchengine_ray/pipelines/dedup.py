@@ -1196,58 +1196,77 @@ def _cc_driver(pairs: pa.Table) -> tuple[np.ndarray, np.ndarray]:
 
 
 _CC_BUCKETS = 64            # floor; grows with the edge count
-_CC_BUCKET_ROWS = 2_000_000  # target state rows per bucket-round task
+_CC_BUCKET_ROWS = 2_000_000  # target state rows per bucket-step task
 
 
-def _cc_round_bucket(g: pa.Table, n_buckets: int = _CC_BUCKETS) -> pa.Table:
-    """One hash-to-min round over ONE coarse bucket of node-groups,
-    fully vectorized (the per-NODE map_groups variant creates a
-    10k-tiny-block storm; bucketing by u%%B keeps every u's rows
-    together while giving Ray ~B well-sized groups per round).
+def _cc_star_bucket(g: pa.Table, large: bool,
+                    n_buckets: int = _CC_BUCKETS) -> pa.Table:
+    """One large-star (``large``) or small-star step of Kiveris et al.,
+    "Connected Components in MapReduce and Beyond" (SoCC'14), over ONE
+    coarse bucket of node-groups, fully vectorized (the per-NODE
+    map_groups variant creates a 10k-tiny-block storm; bucketing by
+    u %% B keeps every u's rows together while giving Ray ~B
+    well-sized groups per step).
 
-    Within the bucket: merge self-loops, dedupe (u, v), find each u's
-    member segment, m = min(members); emit (s, m) and (m, s) for every
-    member s — the Rastogi et al. hash-to-min messages."""
-    u = np.append(g["u"].to_numpy(), g["u"].to_numpy())
-    v = np.append(g["v"].to_numpy(), g["u"].to_numpy())  # self-loops
+    Rows (u, v) are undirected edges stored once per endpoint, no
+    self-loops.  Within the bucket: dedupe (u, v), find each u's
+    neighbour segment and m(u) = min(Γ(u) ∪ {u}) (= min(Γ≤(u) ∪ {u})).
+    Large-star links every neighbour v > u to m(u); small-star links
+    every neighbour v < u, and u itself, to m(u).  Each emitted edge
+    replaces one input edge (dropping the (m, m) self-loop), so a step
+    emits ≤ the rows it read — the state never grows past the edge
+    list."""
+    u, v = g["u"].to_numpy(), g["v"].to_numpy()
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
     keep = np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])]
     u, v = u[keep], v[keep]
     starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-    lens = np.diff(np.r_[starts, len(u)])
-    m = np.repeat(np.minimum.reduceat(v, starts), lens)
-    new_u = np.concatenate([v, m])
-    new_v = np.concatenate([m, v])
+    # v is sorted within each u segment: its first v is min Γ(u)
+    m_seg = np.minimum(v[starts], u[starts])
+    m = np.repeat(m_seg, np.diff(np.r_[starts, len(u)]))
+    if large:
+        sel = v > u
+        a, b = v[sel], m[sel]
+    else:
+        sel = v < u
+        a = np.concatenate([v[sel], u[starts]])
+        b = np.concatenate([m[sel], m_seg])
+        loop = a == b
+        a, b = a[~loop], b[~loop]
+    new_u = np.concatenate([a, b])
     return pa.table(
         {
             "bucket": pa.array((new_u % n_buckets).astype(np.int32), pa.int32()),
             "u": pa.array(new_u, pa.int64()),
-            "v": pa.array(new_v, pa.int64()),
+            "v": pa.array(np.concatenate([b, a]), pa.int64()),
         }
     )
 
 
 def _cc_distributed(pairs, max_rounds: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Distributed connected components: hash-to-min label propagation
-    (Rastogi et al., "Finding Connected Components in Map-Reduce")
-    iterated as Ray Data groupbys over the cluster-set Dataset until
-    fixpoint — the scale path for edge sets that outgrow one machine.
+    """Distributed connected components: alternating large-star /
+    small-star contraction (Kiveris et al., "Connected Components in
+    MapReduce and Beyond", SoCC'14) iterated as Ray Data groupbys over
+    the cluster-set Dataset until fixpoint — the scale path for edge
+    sets that outgrow one machine.
 
-    State = rows (u, v) meaning v ∈ C(u), initialised to the edge list
-    (both directions); self-loops are re-merged every round.  Each
-    round every node u computes m = min(C(u) ∪ {u}) and sends {m} to
-    every member and the member list to m — the min label's reach
-    doubles per round, so convergence takes O(log n) rounds even on
-    path graphs.  Rounds shuffle on a COARSE u-bucket (u %% B, B sized
-    so a bucket-round task sees ~``_CC_BUCKET_ROWS`` state rows — a
-    fixed B would either storm tiny groups or hand one task the whole
-    edge set at scale) and process each bucket vectorized.  A single
-    giant cluster still concentrates its min-label's member list in one
-    bucket — the hash-to-min skew the paper accepts.  Fixpoint
-    detection compares
+    State = undirected edges stored once per endpoint as rows (u, v),
+    self-loops dropped (a self-loop-only node is no pair-graph node, as
+    in ``_cc_driver``).  Each iteration is a large-star then a
+    small-star step (``_cc_star_bucket``); every emitted edge replaces
+    an input edge, so the state holds at most 2·|E| directed rows in
+    every step and the node set never shrinks.  Convergence takes
+    O(log² n) iterations (sorted chains: 15 / 18 / 21 at 10⁴ / 10⁵ /
+    10⁶ edges) and ends with every component a star around its min
+    id.  Steps shuffle on a COARSE u-bucket (u %% B, B sized so a
+    bucket-step task sees ~``_CC_BUCKET_ROWS`` state rows — a fixed B
+    would either storm tiny groups or hand one task the whole edge set
+    at scale) and process each bucket vectorized.  A single giant
+    cluster still lands its star centre's rows in one bucket near the
+    fixpoint — the contraction's skew.  Fixpoint detection compares
     (row count, order-free splitmix checksum) of the emitted state
-    across rounds.  → same (keys, labels) as ``_cc_driver``.
+    across iterations.  → same (keys, labels) as ``_cc_driver``.
 
     ``pairs`` is a (doc_a, doc_b) pa.Table OR a Ray Dataset — the
     Dataset form is how ``dedup_clusters`` keeps big edge lists
@@ -1265,15 +1284,15 @@ def _cc_distributed(pairs, max_rounds: int = 64) -> tuple[np.ndarray, np.ndarray
         n_edges = pairs_ds.count()
     if not n_edges:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    # hash-to-min state peaks at ~2× the (deduped, self-looped) edge
-    # rows; size the bucket fan-out off the initial edge count (2 ×
-    # n_edges directed rows) with that headroom so per-round tasks stay
+    # every star step holds ≤ 2·n_edges directed rows (the initial
+    # state); size the bucket fan-out off that so tasks stay
     # ~_CC_BUCKET_ROWS rows
-    n_buckets = max(_CC_BUCKETS, int(8 * n_edges // _CC_BUCKET_ROWS) + 1)
+    n_buckets = max(_CC_BUCKETS, int(2 * n_edges // _CC_BUCKET_ROWS) + 1)
 
     def init_state(t: pa.Table) -> pa.Table:
         a = t["doc_a"].to_numpy()
         b = t["doc_b"].to_numpy()
+        a, b = a[a != b], b[a != b]
         u0 = np.concatenate([a, b])
         v0 = np.concatenate([b, a])
         return pa.table({
@@ -1296,12 +1315,11 @@ def _cc_distributed(pairs, max_rounds: int = 64) -> tuple[np.ndarray, np.ndarray
 
     prev = None
     for _ in range(max_rounds):
-        cur = (
-            cur.groupby("bucket")
-            .map_groups(lambda g: _cc_round_bucket(g, n_buckets),
-                        batch_format="pyarrow")
-            .materialize()
-        )
+        for large in (True, False):
+            cur = cur.groupby("bucket").map_groups(
+                lambda g, large=large: _cc_star_bucket(g, large, n_buckets),
+                batch_format="pyarrow")
+        cur = cur.materialize()
         parts = [t for t in ray.get(
             cur.map_batches(checksum, batch_format="pyarrow").to_arrow_refs())
             if t.num_rows]
@@ -1312,10 +1330,21 @@ def _cc_distributed(pairs, max_rounds: int = 64) -> tuple[np.ndarray, np.ndarray
             break
         prev = sig
     else:
-        raise RuntimeError("hash-to-min did not converge within max_rounds")
+        raise RuntimeError(
+            "star contraction did not converge within max_rounds")
+
+    def star_label(t: pa.Table) -> pa.Table:
+        # at the fixpoint every component is a star around its min id:
+        # a leaf's rows point at the centre, and the centre keeps its
+        # own id through its (lo, lo) rows
+        u = t["u"].to_numpy()
+        return pa.table({"u": pa.array(u, pa.int64()),
+                         "lo": pa.array(np.minimum(u, t["v"].to_numpy()),
+                                        pa.int64())})
 
     lbl = _collect_table(
-        cur.groupby("u").aggregate(Min("v", alias_name="label")),
+        cur.map_batches(star_label, batch_format="pyarrow")
+        .groupby("u").aggregate(Min("lo", alias_name="label")),
         pa.schema([("u", pa.int64()), ("label", pa.int64())]),
     ).sort_by("u")
     return lbl["u"].to_numpy(), lbl["label"].to_numpy()
@@ -1338,10 +1367,10 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.8, shingle: int = 3,
     driver only when the driver path is chosen.  Small edge sets are
     solved with a driver-side union-find over PAIRS ONLY (O(edges)
     memory, never O(docs)); past ``limits.cc_driver_edge_cap()`` edges
-    the plan AUTO-SWITCHES to the hash-to-min label-propagation loop
-    run as Ray Data groupbys (``_cc_distributed``), fed the Dataset
-    directly — edge sets that outgrow one machine never visit the
-    driver.  ``distributed=True``/``False`` forces a path
+    the plan AUTO-SWITCHES to large-star/small-star contraction run as
+    Ray Data groupbys (``_cc_distributed``, state ≤ 2·edges rows), fed
+    the Dataset directly — edge sets that outgrow one machine never
+    visit the driver.  ``distributed=True``/``False`` forces a path
     (``None`` = auto).  Either way the resulting (dup-doc → cluster)
     map is broadcast via ``ray.put`` and applied as a vectorized
     searchsorted lookup inside ``map_batches``; the documents table
@@ -1494,7 +1523,7 @@ def dup_spans(sf_dir: str, n: int = 5, n_buckets: int = 1024):
     Shape at scale: windows are HASHED (u64 rolling hash, never a gram
     string) and exchanged as (hash, doc, counts) rows; the duplicated-
     gram decision groups on a COARSE HASH BUCKET (one vectorized call
-    per bucket, the ``_cc_round_bucket`` fix for tiny-group storms) and
+    per bucket, the ``_cc_star_bucket`` fix for tiny-group storms) and
     emits per-(doc, bucket) partials, so the final per-doc reduce is a
     native Sum/Min aggregate.  Document text never shuffles.  A u64
     hash collision can mark a unique window duplicated (birthday odds

@@ -436,6 +436,55 @@ def test_cc_distributed_matches_driver_on_chain():
     assert (ld[kd >= 20_000] == 20_000).all()
 
 
+def _star_contract_numpy(a, b):
+    """Drive ``dedup._cc_star_bucket`` without Ray, one global bucket,
+    until the state stops changing; every step must emit ≤ the rows it
+    read (≤ 2·|E| directed rows).  → (keys, labels)."""
+    a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
+    state = pa.table({"bucket": pa.array(np.zeros(2 * len(a), np.int32)),
+                      "u": np.concatenate([a, b]), "v": np.concatenate([b, a])})
+    n_rows, prev = state.num_rows, None
+    for _ in range(64):
+        for large in (True, False):
+            out = dedup._cc_star_bucket(state, large, 1)
+            assert out.num_rows <= min(state.num_rows, n_rows)
+            state = out
+        u, v = state["u"].to_numpy(), state["v"].to_numpy()
+        order = np.lexsort((v, u))
+        cur = np.stack([u[order], v[order]])
+        if prev is not None and np.array_equal(cur, prev):
+            break
+        prev = cur
+    else:
+        raise AssertionError("star contraction did not converge")
+    u, lo = cur[0], np.minimum(cur[0], cur[1])
+    first = np.r_[True, u[1:] != u[:-1]]
+    return u[first], np.minimum.reduceat(lo, np.flatnonzero(first))
+
+
+@pytest.mark.parametrize("graph", ["chain", "chain_shuffled", "star", "clique"])
+def test_cc_star_kernels_bound_state_and_match_driver(graph):
+    """The distributed CC kernels never hold more edges than they
+    started with (a growing state, like hash-to-min's ~6,300× on the
+    10k chain, spills the object store to disk) and converge to the
+    driver union-find's labels."""
+    n = 10_000
+    a = np.r_[np.arange(n), 20_000, 20_001]
+    b = np.r_[np.arange(1, n + 1), 20_001, 20_002]
+    if graph == "chain_shuffled":
+        perm = np.random.default_rng(5).permutation(30_000)
+        a, b = perm[a], perm[b]
+    elif graph == "star":  # 5k leaves around a hub with ids on both sides
+        a = np.full(5_000, 2_500)
+        b = np.r_[np.arange(2_500), np.arange(2_501, 5_001)]
+    elif graph == "clique":
+        a, b = np.triu_indices(120, 1)
+    keys, labels = _star_contract_numpy(a, b)
+    kd, ld = dedup._cc_driver(pa.table({"doc_a": pa.array(a, pa.int64()),
+                                        "doc_b": pa.array(b, pa.int64())}))
+    assert np.array_equal(keys, kd) and np.array_equal(labels, ld)
+
+
 def test_dedup_clusters_distributed_equals_default(planted_dir):
     a = dedup.dedup_clusters(planted_dir, threshold=0.8).to_pandas()
     b = dedup.dedup_clusters(planted_dir, threshold=0.8, distributed=True).to_pandas()
